@@ -1,8 +1,7 @@
 """Benchmark E14 -- sub-millisecond admission: delta-EFT + batched kernels.
 
 The admission hot path of the streaming engine compounds three fast
-paths, each keeping its reference formulation switchable as a golden
-fallback:
+paths, each checked against the preserved reference of its stage:
 
 1. **delta-EFT** placement: the placement engine caches each cluster's
    sorted free-time frontier across admissions and prunes clusters whose
@@ -21,14 +20,11 @@ Grid'5000 platform -- through a fully-optimized session (the production
 defaults) and through the **full-pass path**: the preserved pre-refactor
 reference implementations (`repro.mapping._reference`,
 `repro.allocation._reference`), which re-run the scalar per-cluster EFT
-scan and the dict-based per-iteration allocation DP for every admission,
-with per-graph compilation.  The gate requires the optimized amortized
-per-admission time to be at least **3x** better.  For transparency the
-summary also times the intermediate fallback -- the PR 2/3 vectorized
-cores with delta-EFT, the fused loop and batching disabled -- so the
-increment of each layer is visible.  The schedules and per-application
-makespans of all three runs must be bit-identical (the fast paths are
-exact); ``BENCH_delta.json`` records the summary.
+scan and the dict-based per-iteration allocation DP for every
+admission.  The gate requires the optimized amortized
+per-admission time to be at least **3x** better.  The schedules and
+per-application makespans of both runs must be bit-identical (the fast
+paths are exact); ``BENCH_delta.json`` records the summary.
 
 Run standalone with
 ``PYTHONPATH=src python benchmarks/bench_delta_eft.py`` or through
@@ -124,33 +120,15 @@ def run_delta_core():
     del fast_session
     gc.collect()
 
-    # -- intermediate fallback: PR 2/3 vectorized cores, this PR's fast -- #
-    # -- paths disabled -------------------------------------------------- #
-    tic = time.perf_counter()
-    mid_session = StreamSession(
-        platform,
-        allocator=ScrapMaxAllocator(fast=False),
-        delta=False,
-        batch_compile=False,
-    )
-    mid_session.feed(stream)
-    mid_result = mid_session.result()
-    mid_seconds = time.perf_counter() - tic
-    del mid_session
-    gc.collect()
-
     # -- full pass: the preserved pre-refactor reference (scalar EFT ----- #
-    # -- scan, dict-based allocation DP, per-graph compilation) ---------- #
+    # -- scan, dict-based allocation DP) --------------------------------- #
     tic = time.perf_counter()
     with reference_implementation():
-        ref_session = StreamSession(
-            platform, allocator=_FullPassAllocator(), batch_compile=False
-        )
+        ref_session = StreamSession(platform, allocator=_FullPassAllocator())
         ref_session.feed(stream)
     ref_result = ref_session.result()
     ref_seconds = time.perf_counter() - tic
 
-    _assert_identical(fast_result, mid_result)
     _assert_identical(fast_result, ref_result)
 
     tasks = len(fast_result.schedule)
@@ -160,10 +138,8 @@ def run_delta_core():
         "tasks_scheduled": tasks,
         "horizon_seconds": fast_result.horizon(),
         "optimized_seconds": fast_seconds,
-        "fast_cores_fallback_seconds": mid_seconds,
         "full_pass_seconds": ref_seconds,
         "speedup_vs_full_pass": ref_seconds / fast_seconds,
-        "speedup_vs_fast_cores": mid_seconds / fast_seconds,
         "optimized_admission_ms": 1000.0 * fast_seconds / n_arrivals,
         "full_pass_admission_ms": 1000.0 * ref_seconds / n_arrivals,
     }
@@ -177,11 +153,6 @@ def bench_delta_eft(benchmark):
         f"optimized admission is only {summary['speedup_vs_full_pass']:.2f}x "
         f"faster than the full-pass path ({summary['optimized_seconds']:.2f}s "
         f"vs {summary['full_pass_seconds']:.2f}s)"
-    )
-    # the intermediate fallback shares the vectorized cores, so the gap is
-    # smaller: gate against a material regression, not noise
-    assert summary["speedup_vs_fast_cores"] >= 1.2, (
-        f"fast-cores regression: {summary['speedup_vs_fast_cores']:.2f}x"
     )
 
 

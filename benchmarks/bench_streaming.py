@@ -18,6 +18,11 @@ through both paths:
 2. **naive replay** (baseline): after every batch, the preserved
    pre-refactor scheduler re-replays the full prefix from scratch.
 
+Both paths run inside
+:func:`repro.mapping._reference.reference_implementation`, so both place
+tasks with the same engine (the oracle ``ReferencePlacementEngine``,
+which the preserved scheduler always builds): the timings compare the
+session's bookkeeping with the replay's, not two placement engines.
 The final schedules must be **bit-identical** (the rework is a pure
 performance refactor) and the event-driven loop must be at least **3x**
 faster; a ``BENCH_streaming.json`` summary also records the single-pass
@@ -43,6 +48,7 @@ try:
 except ModuleNotFoundError:  # standalone: python benchmarks/bench_streaming.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import full_scale, write_result
+from repro.mapping._reference import reference_implementation
 from repro.platform import grid5000
 from repro.scheduler._reference import ReferenceOnlineScheduler
 from repro.streaming.engine import StreamSession
@@ -98,36 +104,37 @@ def run_streaming_core():
     # letting them pile up distorts later measurements through GC
     # pressure (observed: up to 40% on the last phase measured).
 
-    # -- single pass: the whole stream in one batch each ---------------- #
-    gc.collect()
-    tic = time.perf_counter()
-    single_session = StreamSession(platform)
-    single_session.feed(stream)
-    single_fast = time.perf_counter() - tic
-    del single_session
-    gc.collect()
-    tic = time.perf_counter()
-    single_ref_result = ReferenceOnlineScheduler().schedule(stream, platform)
-    single_ref = time.perf_counter() - tic
-    del single_ref_result
-    gc.collect()
+    with reference_implementation():
+        # -- single pass: the whole stream in one batch each ------------ #
+        gc.collect()
+        tic = time.perf_counter()
+        single_session = StreamSession(platform)
+        single_session.feed(stream)
+        single_fast = time.perf_counter() - tic
+        del single_session
+        gc.collect()
+        tic = time.perf_counter()
+        single_ref_result = ReferenceOnlineScheduler().schedule(stream, platform)
+        single_ref = time.perf_counter() - tic
+        del single_ref_result
+        gc.collect()
 
-    # -- event-driven: one session, fed batch by batch ------------------ #
-    tic = time.perf_counter()
-    session = StreamSession(platform)
-    for batch in batches:
-        session.feed(batch)
-    fast_result = session.result()
-    fast_seconds = time.perf_counter() - tic
-    gc.collect()
+        # -- event-driven: one session, fed batch by batch -------------- #
+        tic = time.perf_counter()
+        session = StreamSession(platform)
+        for batch in batches:
+            session.feed(batch)
+        fast_result = session.result()
+        fast_seconds = time.perf_counter() - tic
+        gc.collect()
 
-    # -- naive replay: re-run the whole prefix after every batch -------- #
-    tic = time.perf_counter()
-    ref_result = None
-    for end in range(batch_size, len(stream) + batch_size, batch_size):
-        prefix = stream[:end]
-        ref_result = ReferenceOnlineScheduler().schedule(prefix, platform)
-    replay_seconds = time.perf_counter() - tic
+        # -- naive replay: re-run the whole prefix after every batch ---- #
+        tic = time.perf_counter()
+        ref_result = None
+        for end in range(batch_size, len(stream) + batch_size, batch_size):
+            prefix = stream[:end]
+            ref_result = ReferenceOnlineScheduler().schedule(prefix, platform)
+        replay_seconds = time.perf_counter() - tic
 
     _assert_identical(fast_result.schedule, ref_result.schedule)
     assert fast_result.makespans() == ref_result.makespans()

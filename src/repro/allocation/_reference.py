@@ -13,11 +13,19 @@ the full :meth:`~repro.allocation.base.Allocation.average_power` /
 :meth:`~repro.allocation.base.Allocation.level_power` recomputation after
 every tentative increment.
 
-It exists only for the golden equivalence suite
-(``tests/test_allocation_golden.py``) and the old-vs-new benchmarks
-(``benchmarks/bench_allocation_core.py``,
-``benchmarks/bench_pipeline_core.py``); production code must call
-:func:`repro.allocation.iterative.run_iterative_allocation`.
+Its consumers are the golden equivalence suites
+(``tests/test_allocation_golden.py``, ``tests/test_delta_golden.py``),
+the old-vs-new benchmarks (``benchmarks/bench_allocation_core.py``,
+``benchmarks/bench_pipeline_core.py``, ``benchmarks/bench_delta_eft.py``),
+the bit-identity oracles of the repo benchmark (``perfbench/oracle.py``)
+and one production route:
+:func:`repro.allocation.iterative.run_iterative_allocation` hands every
+custom :class:`~repro.allocation.iterative.ConstraintCheck` subclass to
+:func:`run_reference_allocation`, which evaluates it on a dict
+:class:`~repro.allocation.base.Allocation`.  The loop's semantics are
+therefore also the production contract for custom checks.  Callers with
+a built-in check must call
+:func:`~repro.allocation.iterative.run_iterative_allocation`.
 """
 
 from __future__ import annotations

@@ -27,15 +27,9 @@ class CPAAllocator(AllocationProcedure):
 
     name = "CPA"
 
-    def __init__(self, efficiency_threshold: float = 0.0, fast: bool = True) -> None:
-        """The canonical CPA has no over-allocation guard (threshold 0).
-
-        *fast* selects the fused iteration loop of
-        :mod:`repro.allocation.fastloop` (bit-identical results either
-        way; ``False`` is the benchmark / golden-test baseline).
-        """
+    def __init__(self, efficiency_threshold: float = 0.0) -> None:
+        """The canonical CPA has no over-allocation guard (threshold 0)."""
         self.efficiency_threshold = efficiency_threshold
-        self.fast = fast
 
     def allocate(
         self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
@@ -61,6 +55,5 @@ class CPAAllocator(AllocationProcedure):
             constraint=NoConstraint(),
             use_balance_stop=True,
             efficiency_threshold=self.efficiency_threshold,
-            fast=self.fast,
         )
         return allocation

@@ -1,15 +1,14 @@
-"""Fused fast path of the CPA-family iterative allocation loop.
+"""The fused CPA-family iterative allocation loop.
 
-:func:`repro.allocation.iterative.run_iterative_allocation` re-derives
-the bottom levels of the whole graph **twice** per accepted increment --
-once for the balance test and critical path, and (for SCRAP) once more
-inside the constraint's ``average_power`` re-evaluation -- although a
-single increment only shortens one task.  :func:`run_fused_loop` fuses
-the iteration into one flat pass that exploits exactly that locality:
+:func:`repro.allocation.iterative.run_iterative_allocation` runs this
+loop for the three built-in constraint checks.  A single increment only
+shortens one task, and :func:`run_fused_loop` exploits exactly that
+locality in one flat pass:
 
-* **incremental bottom levels** -- after an increment only the task and
-  its ancestors can change, so the DP is re-run over the dirty cone
-  (a flag-guided sweep in decreasing topological position, with an undo
+* **incremental bottom levels** -- the bottom levels are computed once,
+  before the first increment; after an increment only the task and its
+  ancestors can change, so the DP is re-run over the dirty cone (a
+  flag-guided sweep in decreasing topological position, with an undo
   log for rejected increments) instead of the whole graph;
 * **freeze-skip** -- a rejected increment under SCRAP-MAX restores the
   state bit-for-bit, so the next iteration's bottom levels, critical
@@ -18,8 +17,7 @@ the iteration into one flat pass that exploits exactly that locality:
   ``max_iterations``);
 * **hoisted constraint checks** -- the built-in area / level tests are
   dispatched once before the loop and evaluated inline over the
-  incrementally maintained bottom levels and areas, instead of a fresh
-  full DP (plus closure dispatch) per tentative increment;
+  incrementally maintained bottom levels and areas;
 * **flat hot path** -- candidate filtering, the ``(gain, -task_id)``
   selection and the per-increment table refresh run inline on
   lazily-materialised Python rows of the precomputed tables, with no
@@ -27,31 +25,31 @@ the iteration into one flat pass that exploits exactly that locality:
 
 Exactness
 ---------
-Every float the loop produces is bit-identical to the reference
-formulation in :mod:`repro.allocation._reference` and to the non-fused
-loop in :mod:`repro.allocation.iterative`:
+Every float the loop produces is bit-identical to the dict-based loop
+in :mod:`repro.allocation._reference`:
 
 * recomputing a node's bottom level from unchanged inputs yields the
   identical IEEE-754 value, so propagating only nodes whose recomputed
   value differs (and their predecessors), in decreasing topological
   position, reproduces the full DP exactly;
 * the balance and constraint comparisons use the same fold-left sums
-  (Python ``sum`` over the state's incrementally maintained areas and
-  the level-member generator of ``AllocationState.level_power``) and
-  the same ``beta * P + 1e-12`` limits, in the same operation order;
+  (Python ``sum`` over the incrementally maintained areas, and over the
+  level members in ``tasks_by_level`` order) and the same
+  ``beta * P + 1e-12`` limits, in the same operation order as
+  :meth:`~repro.allocation.base.Allocation.average_power` and
+  :meth:`~repro.allocation.base.Allocation.level_power`;
 * the candidate scan keeps the first maximal ``(gain, -task_id)`` key
   exactly like the reference's ``max(candidates, key=...)``: a
   candidate only replaces the incumbent on a strictly greater key;
-* the inline increment / revert performs the same row lookups as
-  :meth:`~repro.allocation.state.AllocationState.set_processors`
-  (bounds always hold: growth is filtered by ``procs < cap``).
+* the inline increment / revert reads the duration and area of the new
+  processor count off the state's precomputed tables (bounds always
+  hold: growth is filtered by ``procs < cap``).
 
 ``tests/test_allocation_golden.py`` and ``tests/test_delta_golden.py``
 assert the resulting allocations and :class:`IterationStats` match the
 reference across procedures, workload families and betas.  Custom
 :class:`~repro.allocation.iterative.ConstraintCheck` subclasses never
-reach this module: the dispatcher falls back to the mirrored dict-based
-loop for them.
+reach this module: the dispatcher runs them on the reference loop.
 """
 
 from __future__ import annotations
@@ -121,11 +119,11 @@ def run_fused_loop(
 ) -> None:
     """Run the fused allocation iteration, mutating *state* and *stats*.
 
-    Drop-in replacement for the loop body of
-    :func:`repro.allocation.iterative.run_iterative_allocation` when the
-    constraint is one of the built-in checks; produces bit-identical
-    allocations and iteration diagnostics (see the module docstring for
-    the argument).
+    The loop body of
+    :func:`repro.allocation.iterative.run_iterative_allocation` for the
+    built-in constraint checks; produces allocations and iteration
+    diagnostics bit-identical to the reference loop (see the module
+    docstring for the argument).
     """
     from repro.allocation.iterative import AreaConstraint, LevelConstraint
 
@@ -145,7 +143,6 @@ def run_fused_loop(
     areas = state.areas  # inline increment / revert below
     procs = state.procs
     cap = state.cap
-    durations_np = state._durations_np
     frozen: set = set()
     efficiency_guard = efficiency_threshold - 1e-12
     use_efficiency_guard = efficiency_threshold > 0.0
@@ -168,8 +165,8 @@ def run_fused_loop(
         members_of = [level_tuples[levels_tuple[i]] for i in range(n)]
     stop_on_violation = constraint.stop_on_violation
 
-    # lazily materialised Python rows of the precomputed tables, fetched
-    # through the state so its own caches stay shared
+    # lazily materialised Python rows of the precomputed tables: only
+    # the rows of touched tasks pay the conversion
     gain_rows: List[Optional[List[float]]] = [None] * n
     dur_rows: List[Optional[List[float]]] = [None] * n
     area_rows: List[Optional[List[float]]] = [None] * n
@@ -223,7 +220,7 @@ def run_fused_loop(
             stats.stopped_by_saturation = True
             break
 
-        # inline state.increment(best); bounds always hold (p < cap)
+        # inline increment; bounds always hold (p < cap)
         p1 = procs[best] + 1
         procs[best] = p1
         drow = dur_rows[best]
@@ -232,11 +229,8 @@ def run_fused_loop(
         arow = area_rows[best]
         if arow is None:
             arow = area_rows[best] = state.area_row(best)
-        d = drow[p1 - 1]
-        durations[best] = d
+        durations[best] = drow[p1 - 1]
         areas[best] = arow[p1 - 1]
-        if durations_np is not None:
-            durations_np[best] = d
 
         undo = _propagate(
             best, bl, durations, succ_of, pred_of, topo_order, topo_pos, dirty
@@ -251,7 +245,7 @@ def run_fused_loop(
                 > level_limit
             )
         elif check_kind == 1:
-            # operation order of AllocationState.average_power, with the
+            # operation order of Allocation.average_power, with the
             # critical path length read off the maintained bottom levels
             cp = max(bl)
             violated = cp > 0.0 and sum(areas) * speed_gflops / cp > area_limit
@@ -259,13 +253,10 @@ def run_fused_loop(
             violated = False
 
         if violated:
-            # inline state.decrement(best) + bottom-level rollback
+            # inline revert + bottom-level rollback
             procs[best] = p1 - 1
-            d = drow[p1 - 2]
-            durations[best] = d
+            durations[best] = drow[p1 - 2]
             areas[best] = arow[p1 - 2]
-            if durations_np is not None:
-                durations_np[best] = d
             for index, old in undo:
                 bl[index] = old
             if stop_on_violation:

@@ -27,15 +27,9 @@ class HCPAAllocator(AllocationProcedure):
 
     name = "HCPA"
 
-    def __init__(self, efficiency_threshold: float = 0.0, fast: bool = True) -> None:
-        """*efficiency_threshold* is the over-allocation guard of ref. [11].
-
-        *fast* selects the fused iteration loop of
-        :mod:`repro.allocation.fastloop` (bit-identical results either
-        way; ``False`` is the benchmark / golden-test baseline).
-        """
+    def __init__(self, efficiency_threshold: float = 0.0) -> None:
+        """*efficiency_threshold* is the over-allocation guard of ref. [11]."""
         self.efficiency_threshold = efficiency_threshold
-        self.fast = fast
 
     def allocate(
         self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
@@ -57,6 +51,5 @@ class HCPAAllocator(AllocationProcedure):
             constraint=NoConstraint(),
             use_balance_stop=True,
             efficiency_threshold=self.efficiency_threshold,
-            fast=self.fast,
         )
         return allocation

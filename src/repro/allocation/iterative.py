@@ -21,31 +21,30 @@ Performance
 -----------
 :func:`run_iterative_allocation` is the allocation hot path: it runs up
 to ``n_tasks * cap`` iterations, each of which needs the critical path
-under the current allocation, the total area, the per-candidate marginal
-gains and (for SCRAP / SCRAP-MAX) a constraint re-evaluation after the
-tentative increment.  The loop therefore works on an
-:class:`~repro.allocation.state.AllocationState`: durations, areas,
-marginal gains and the efficiency guard are precomputed table lookups,
-the critical-path DP is a vectorized pass over the shared
-:class:`~repro.dag.arrays.DagArrays` topology, the resource sums are
-incremental, and the best candidate is selected with a vectorized argmax
-that preserves the exact ``(gain, -task_id)`` tie-break.  The produced
-allocations and :class:`IterationStats` are **bit-identical** to the
-pre-refactor formulation kept in :mod:`repro.allocation._reference`
-(asserted by ``tests/test_allocation_golden.py``).  Custom
-:class:`ConstraintCheck` subclasses keep working: they are evaluated
-against a mirrored dict-based :class:`~repro.allocation.base.Allocation`,
-only the built-in checks take the array fast path.
+under the current allocation, the balance test, the per-candidate
+marginal gains and (for SCRAP / SCRAP-MAX) a constraint re-evaluation
+after the tentative increment.  For the three built-in checks it runs
+the fused loop of :mod:`repro.allocation.fastloop` over an
+:class:`~repro.allocation.state.AllocationState` (precomputed duration,
+area, gain and efficiency tables, incremental bottom levels, inline
+constraint tests).  A custom :class:`ConstraintCheck` subclass runs on
+the dict-based loop of :mod:`repro.allocation._reference`, the oracle
+the fused loop is asserted **bit-identical** against
+(``tests/test_allocation_golden.py``), which evaluates
+:meth:`ConstraintCheck.violated` on a real
+:class:`~repro.allocation.base.Allocation`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.allocation.base import Allocation
+from repro.allocation.fastloop import run_fused_loop
 from repro.allocation.reference import ReferenceCluster
+from repro.allocation.state import AllocationState
 from repro.dag.graph import PTG
 from repro.dag.task import Task
 from repro.exceptions import AllocationError
@@ -144,28 +143,10 @@ class IterationStats:
 DEFAULT_EFFICIENCY_THRESHOLD = 0.0
 
 
-def _fast_violation_check(
-    constraint: ConstraintCheck, state
-) -> Optional[Callable[[int], bool]]:
-    """Array-native violation test for the built-in constraint checks.
-
-    Returns ``None`` for custom :class:`ConstraintCheck` subclasses (the
-    loop then mirrors the allocation into a dict-based
-    :class:`~repro.allocation.base.Allocation` and calls
-    :meth:`ConstraintCheck.violated` on it, preserving semantics).  The
-    ``beta * P + 1e-12`` limits are precomputed with the same operation
-    order as the reference checks.
-    """
-    if type(constraint) is NoConstraint:
-        return lambda index: False
-    if type(constraint) is AreaConstraint:
-        area_limit = constraint.beta * constraint.platform_power_gflops + 1e-12
-        return lambda index: state.average_power() > area_limit
-    if type(constraint) is LevelConstraint:
-        level_limit = constraint.beta * constraint.platform_power_gflops + 1e-12
-        levels = state.arrays.levels
-        return lambda index: state.level_power(int(levels[index])) > level_limit
-    return None
+#: The constraint checks the fused loop of :mod:`repro.allocation.fastloop`
+#: evaluates inline; any other :class:`ConstraintCheck` (subclasses of
+#: these included) runs on the dict-based reference loop.
+_BUILT_IN_CHECKS = (NoConstraint, AreaConstraint, LevelConstraint)
 
 
 def run_iterative_allocation(
@@ -177,7 +158,6 @@ def run_iterative_allocation(
     use_balance_stop: bool = True,
     max_iterations: Optional[int] = None,
     efficiency_threshold: float = DEFAULT_EFFICIENCY_THRESHOLD,
-    fast: bool = True,
 ) -> tuple[Allocation, IterationStats]:
     """Run the CPA-style iterative allocation loop.
 
@@ -209,49 +189,30 @@ def run_iterative_allocation(
         past the point of diminishing returns, which starves task
         parallelism and hurts dedicated-platform (``beta = 1``) schedules.
         Set to 0 to disable the guard.
-    fast:
-        Use the fused loop of :mod:`repro.allocation.fastloop`
-        (incremental bottom levels, freeze-skip) when the constraint is
-        one of the built-in checks.  Bit-identical either way; ``False``
-        forces the straightforward per-iteration recomputation, which
-        the golden tests and benchmarks use as the comparison baseline.
-        Custom :class:`ConstraintCheck` subclasses always take the
-        mirrored dict-based path regardless of this flag.
 
     Returns
     -------
     (Allocation, IterationStats)
     """
-    from repro.allocation.state import AllocationState
-
-    if not (0.0 < beta <= 1.0):
-        raise AllocationError(f"beta must be in (0, 1], got {beta}")
-    if not (0.0 <= efficiency_threshold <= 1.0):
-        raise AllocationError(
-            f"efficiency_threshold must be in [0, 1], got {efficiency_threshold}"
-        )
-    ptg.validate()
-    stats = IterationStats()
-    cap = reference.max_allocation(platform)
-    effective_ref_size = max(1.0, beta * reference.size)
-    if max_iterations is None:
-        max_iterations = ptg.n_tasks * cap + 1
-
-    state = AllocationState(ptg, reference, cap=cap, beta=beta)
-    violated_fast = _fast_violation_check(constraint, state)
-    mirror: Optional[Allocation] = None
-    if violated_fast is None:
-        # custom ConstraintCheck subclass: keep a dict-based Allocation in
-        # sync and evaluate the check against it, like the reference loop
-        mirror = Allocation(ptg, reference, beta)
-
     # The span is coarse (one per allocate call) and the counters are
     # derived from IterationStats after the loop, so telemetry adds no
-    # per-iteration work -- disabled or enabled.
+    # per-iteration work -- disabled or enabled.  Each route validates
+    # its arguments once: the oracle loop does its own checks.
     with trace.span("allocation.iterate", ptg=ptg.name) as obs_span:
-        if fast and mirror is None:
-            from repro.allocation.fastloop import run_fused_loop
-
+        if type(constraint) in _BUILT_IN_CHECKS:
+            if not (0.0 < beta <= 1.0):
+                raise AllocationError(f"beta must be in (0, 1], got {beta}")
+            if not (0.0 <= efficiency_threshold <= 1.0):
+                raise AllocationError(
+                    "efficiency_threshold must be in [0, 1], "
+                    f"got {efficiency_threshold}"
+                )
+            ptg.validate()
+            stats = IterationStats()
+            cap = reference.max_allocation(platform)
+            if max_iterations is None:
+                max_iterations = ptg.n_tasks * cap + 1
+            state = AllocationState(ptg, reference, cap=cap, beta=beta)
             run_fused_loop(
                 state,
                 constraint,
@@ -259,19 +220,22 @@ def run_iterative_allocation(
                 use_balance_stop=use_balance_stop,
                 max_iterations=max_iterations,
                 efficiency_threshold=efficiency_threshold,
-                effective_ref_size=effective_ref_size,
+                effective_ref_size=max(1.0, beta * reference.size),
             )
+            allocation = state.as_allocation()
         else:
-            _run_reference_loop(
-                state,
+            # the oracle module imports this one: resolve it at call time
+            from repro.allocation._reference import run_reference_allocation
+
+            allocation, stats = run_reference_allocation(
+                ptg,
+                platform,
+                reference,
+                beta,
                 constraint,
-                stats,
-                mirror,
-                violated_fast,
                 use_balance_stop=use_balance_stop,
                 max_iterations=max_iterations,
                 efficiency_threshold=efficiency_threshold,
-                effective_ref_size=effective_ref_size,
             )
 
         registry = meters.active()
@@ -286,82 +250,4 @@ def run_iterative_allocation(
             if stats.stopped_by_constraint:
                 registry.counter("allocation.stopped_by_constraint").inc()
 
-    return state.as_allocation(), stats
-
-
-def _run_reference_loop(
-    state,
-    constraint: ConstraintCheck,
-    stats: IterationStats,
-    mirror: Optional[Allocation],
-    violated_fast: Optional[Callable[[int], bool]],
-    use_balance_stop: bool,
-    max_iterations: int,
-    efficiency_threshold: float,
-    effective_ref_size: float,
-) -> None:
-    """The straightforward per-iteration loop (``fast=False`` / mirrored).
-
-    Recomputes the bottom levels, balance test and critical path from
-    scratch every iteration; kept as the baseline the fused loop is
-    asserted bit-identical against, and as the only path able to drive a
-    custom :class:`ConstraintCheck` through its dict-based *mirror*.
-    """
-    arrays = state.arrays
-    ptg = state.ptg
-    task_ids = arrays.task_ids_tuple
-    synthetic = arrays.synthetic_tuple
-    procs = state.procs  # Python list, mutated in place by the state
-    frozen: set = set()
-    efficiency_guard = efficiency_threshold - 1e-12
-    use_efficiency_guard = efficiency_threshold > 0.0
-
-    def _may_grow(index: int) -> bool:
-        if synthetic[index] or index in frozen or procs[index] >= state.cap:
-            return False
-        if use_efficiency_guard:
-            # efficiency at procs + 1 is column `procs` of the table; a
-            # task may only grow while it stays above threshold - 1e-12
-            if state.efficiency_row(index)[procs[index]] < efficiency_guard:
-                return False
-        return True
-
-    def _benefit(index: int):
-        # reference selection key: max (marginal gain, -task id)
-        return (state.gain_row(index)[procs[index] - 1], -task_ids[index])
-
-    while stats.iterations < max_iterations:
-        stats.iterations += 1
-        bl = state.bottom_levels()
-        t_cp = max(bl)
-        if t_cp <= 0.0:
-            # graph of only synthetic tasks: nothing to allocate
-            break
-        if use_balance_stop:
-            t_a = state.total_area() / effective_ref_size
-            if t_cp <= t_a:
-                stats.stopped_by_balance = True
-                break
-        path = state.critical_path(bl)
-        candidates = [index for index in path if _may_grow(index)]
-        if not candidates:
-            stats.stopped_by_saturation = True
-            break
-        best = max(candidates, key=_benefit)
-        state.increment(best)
-        if mirror is not None:
-            mirror.set_processors(task_ids[best], procs[best])
-            violated = constraint.violated(mirror, ptg.task(task_ids[best]))
-        else:
-            violated = violated_fast(best)
-        if violated:
-            state.decrement(best)
-            if mirror is not None:
-                mirror.set_processors(task_ids[best], procs[best])
-            if constraint.stop_on_violation:
-                stats.stopped_by_constraint = True
-                break
-            frozen.add(best)
-            stats.frozen_tasks += 1
-            continue
-        stats.increments += 1
+    return allocation, stats

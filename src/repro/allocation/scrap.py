@@ -48,12 +48,9 @@ class ScrapAllocator(AllocationProcedure):
         self,
         use_balance_stop: bool = True,
         efficiency_threshold: float = 0.0,
-        fast: bool = True,
     ) -> None:
-        """*fast* selects the fused loop (bit-identical; see fastloop)."""
         self.use_balance_stop = use_balance_stop
         self.efficiency_threshold = efficiency_threshold
-        self.fast = fast
         self.last_stats: Optional[IterationStats] = None
 
     def allocate(
@@ -70,7 +67,6 @@ class ScrapAllocator(AllocationProcedure):
             constraint=constraint,
             use_balance_stop=self.use_balance_stop,
             efficiency_threshold=self.efficiency_threshold,
-            fast=self.fast,
         )
         self.last_stats = stats
         return allocation
@@ -93,12 +89,9 @@ class ScrapMaxAllocator(AllocationProcedure):
         self,
         use_balance_stop: bool = True,
         efficiency_threshold: float = 0.0,
-        fast: bool = True,
     ) -> None:
-        """*fast* selects the fused loop (bit-identical; see fastloop)."""
         self.use_balance_stop = use_balance_stop
         self.efficiency_threshold = efficiency_threshold
-        self.fast = fast
         self.last_stats: Optional[IterationStats] = None
 
     def allocate(
@@ -115,7 +108,6 @@ class ScrapMaxAllocator(AllocationProcedure):
             constraint=constraint,
             use_balance_stop=self.use_balance_stop,
             efficiency_threshold=self.efficiency_threshold,
-            fast=self.fast,
         )
         self.last_stats = stats
         return allocation

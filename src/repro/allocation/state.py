@@ -10,19 +10,18 @@ power of one precedence level.  The dict-based
 scratch through per-task method calls -- including the construction of an
 :class:`~repro.dag.cost_models.AmdahlTaskModel` per timing query.
 
-:class:`AllocationState` compiles all of it once per
-``(PTG, reference cluster, cap)``:
+:class:`AllocationState` compiles the inputs of the fused loop
+(:mod:`repro.allocation.fastloop`) once per ``(PTG, reference cluster,
+cap)``:
 
 * the full duration table ``T(v, p)`` for ``p = 1..cap`` (vectorized
   Amdahl), plus the derived area table ``p * T(v, p)``, the CPA marginal
   gain table ``T(v,p)/p - T(v,p+1)/(p+1)`` and the parallel-efficiency
-  table used by the over-allocation guard -- so ``task_time``,
-  ``marginal_gain`` and the efficiency check become table lookups,
-* the current per-task durations and areas, refreshed in O(1) per
-  increment, which makes ``total_area`` (and hence SCRAP's
-  ``average_power``) and SCRAP-MAX's ``level_power`` single fold-left
-  sums instead of per-task method-call cascades,
-* the critical-path DP over the precomputed topology of the shared
+  table used by the over-allocation guard, exposed as lazily
+  materialised Python rows,
+* the current per-task allocations, durations and areas as plain Python
+  lists, which the fused loop refreshes in place per increment,
+* the initial bottom levels over the precomputed topology of the shared
   :class:`~repro.dag.arrays.DagArrays` compilation -- the vectorized
   level-batched pass for large graphs, or its bit-identical scalar
   specialization below :data:`~repro.dag.arrays.SMALL_GRAPH_CUTOFF`
@@ -30,20 +29,18 @@ scratch through per-task method calls -- including the construction of an
 
 Exactness
 ---------
-Every table entry and every sum reproduces the IEEE-754 operation order
-of the scalar code in :class:`~repro.allocation.base.Allocation` /
-:class:`~repro.dag.cost_models.AmdahlTaskModel`: fold-left sums are
-Python's built-in ``sum`` (the reference's own semantics) and maxima are
-exact.  The resulting allocations and iteration diagnostics are therefore
-**bit-identical** to the reference loop kept in
-:mod:`repro.allocation._reference`, which
+Every table entry reproduces the IEEE-754 operation order of the scalar
+code in :class:`~repro.allocation.base.Allocation` /
+:class:`~repro.dag.cost_models.AmdahlTaskModel`, so the resulting
+allocations and iteration diagnostics are **bit-identical** to the
+reference loop kept in :mod:`repro.allocation._reference`, which
 ``tests/test_allocation_golden.py`` asserts across procedures, workload
 families and betas.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,44 +194,29 @@ class AllocationState:
         self.durations: List[float] = self.durations_table[:, 0].tolist()
         #: Current areas procs[v] * T(v, procs[v]) as Python floats.
         self.areas: List[float] = self.areas_table[:, 0].tolist()
-        # NumPy view of the current durations, only maintained when the
-        # vectorized DP runs (large graphs)
+        # large graphs take the vectorized bottom-level DP
         self._vector_dp = n >= SMALL_GRAPH_CUTOFF
-        self._durations_np = (
-            self.durations_table[:, 0].copy() if self._vector_dp else None
-        )
-        # lazily materialised Python rows of the tables: scalar lookups in
-        # the loop skip NumPy indexing, and only touched rows pay the
-        # conversion (critical-path tasks are a small subset of V x cap)
-        self._dur_rows: Dict[int, List[float]] = {}
-        self._area_rows: Dict[int, List[float]] = {}
-        self._gain_rows: Dict[int, List[float]] = {}
-        self._eff_rows: Dict[int, List[float]] = {}
 
     # ------------------------------------------------------------------ #
-    # lazy Python rows of the precomputed tables
+    # Python rows of the precomputed tables: the fused loop fetches the
+    # rows of the tasks it touches (critical-path tasks, a small subset
+    # of V x cap) once each, so its scalar lookups skip NumPy indexing
     # ------------------------------------------------------------------ #
-    def _row(self, cache: Dict[int, List[float]], table, index: int) -> List[float]:
-        row = cache.get(index)
-        if row is None:
-            row = cache[index] = table[index].tolist()
-        return row
-
     def duration_row(self, index: int) -> List[float]:
         """Durations ``T(v, 1..cap)`` of the task at *index* (Python floats)."""
-        return self._row(self._dur_rows, self.durations_table, index)
+        return self.durations_table[index].tolist()
 
     def gain_row(self, index: int) -> List[float]:
         """Marginal gains of the task at *index* for ``p = 1..cap-1``."""
-        return self._row(self._gain_rows, self.gain_table, index)
+        return self.gain_table[index].tolist()
 
     def area_row(self, index: int) -> List[float]:
         """Areas ``p * T(v, p)`` of the task at *index* for ``p = 1..cap``."""
-        return self._row(self._area_rows, self.areas_table, index)
+        return self.areas_table[index].tolist()
 
     def efficiency_row(self, index: int) -> List[float]:
         """Parallel efficiencies of the task at *index* for ``p = 1..cap``."""
-        return self._row(self._eff_rows, self.efficiency_table(), index)
+        return self.efficiency_table()[index].tolist()
 
     def efficiency_table(self) -> np.ndarray:
         """Parallel efficiency table ``eff(v, p)`` for ``p = 1..cap``.
@@ -251,49 +233,6 @@ class AllocationState:
         return self._eff_table
 
     # ------------------------------------------------------------------ #
-    # allocation updates
-    # ------------------------------------------------------------------ #
-    def set_processors(self, index: int, processors: int) -> None:
-        """Set the allocation of the task at *index*; O(1) table refresh."""
-        if processors < 1 or processors > self.cap:
-            raise AllocationError(
-                f"allocation must be in [1, {self.cap}], got {processors}"
-            )
-        self.procs[index] = processors
-        duration = self._row(self._dur_rows, self.durations_table, index)[
-            processors - 1
-        ]
-        self.durations[index] = duration
-        self.areas[index] = self._row(self._area_rows, self.areas_table, index)[
-            processors - 1
-        ]
-        if self._durations_np is not None:
-            self._durations_np[index] = duration
-
-    def increment(self, index: int) -> None:
-        """Give the task at *index* one more reference processor."""
-        self.set_processors(index, self.procs[index] + 1)
-
-    def decrement(self, index: int) -> None:
-        """Take one reference processor back (revert a tentative increment)."""
-        self.set_processors(index, self.procs[index] - 1)
-
-    # ------------------------------------------------------------------ #
-    # lookups replacing per-call model construction
-    # ------------------------------------------------------------------ #
-    def task_time(self, index: int) -> float:
-        """Execution time of the task at *index* on its current allocation."""
-        return self.durations[index]
-
-    def marginal_gain(self, index: int) -> float:
-        """CPA benefit of one more processor for the task at *index*.
-
-        Only meaningful while ``procs[index] < cap`` (the loop's
-        ``_may_grow`` filter guarantees it).
-        """
-        return self.gain_row(index)[self.procs[index] - 1]
-
-    # ------------------------------------------------------------------ #
     # graph quantities under the current allocation
     # ------------------------------------------------------------------ #
     def bottom_levels(self) -> List[float]:
@@ -305,57 +244,8 @@ class AllocationState:
         :data:`~repro.dag.arrays.SMALL_GRAPH_CUTOFF` tasks.
         """
         if self._vector_dp:
-            return self.arrays.bottom_levels(self._durations_np).tolist()
+            return self.arrays.bottom_levels(np.array(self.durations)).tolist()
         return self.arrays.bottom_levels_py(self.durations)
-
-    def critical_path_length(self) -> float:
-        """Critical path length, ``max`` over the bottom levels."""
-        return max(self.bottom_levels())
-
-    def critical_path(self, bl: Optional[List[float]] = None) -> List[int]:
-        """Indices along one critical path (reference tie-breaks)."""
-        if bl is None:
-            bl = self.bottom_levels()
-        return self.arrays.critical_path_py(bl)
-
-    # ------------------------------------------------------------------ #
-    # incremental resource sums
-    # ------------------------------------------------------------------ #
-    def total_area(self) -> float:
-        """Sum of task areas, fold-left in insertion order.
-
-        Matches :meth:`repro.allocation.base.Allocation.total_area`
-        bit-for-bit: the per-task areas are maintained incrementally and
-        summed with Python's built-in left-to-right ``sum``, the exact
-        semantics of the reference generator sum.
-        """
-        return sum(self.areas)
-
-    def total_work_power_seconds(self) -> float:
-        """Total area expressed in (GFlop/s) x seconds (SCRAP's quantity)."""
-        return self.total_area() * self.reference.speed_gflops
-
-    def average_power(self) -> float:
-        """Average power over the critical path, as SCRAP bounds it."""
-        cp = self.critical_path_length()
-        if cp <= 0.0:
-            return 0.0
-        return self.total_work_power_seconds() / cp
-
-    def level_power(self, level: int) -> float:
-        """Aggregate power of one precedence level, fold-left summed.
-
-        The member order (and hence the float rounding) is the
-        ``tasks_by_level`` order preserved by the
-        :class:`~repro.dag.arrays.DagArrays` compilation; synthetic tasks
-        contribute exactly 0.0 like
-        :meth:`repro.allocation.base.Allocation.task_power`.
-        """
-        members = self.arrays.level_tuples[level]
-        synthetic = self.arrays.synthetic_tuple
-        procs = self.procs
-        speed = self.reference.speed_gflops
-        return sum(0.0 if synthetic[i] else procs[i] * speed for i in members)
 
     # ------------------------------------------------------------------ #
     # export

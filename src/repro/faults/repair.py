@@ -217,7 +217,8 @@ def _replan(
 
     # ready-list discipline over the re-planned set only: a task waits
     # for its re-planned predecessors; kept predecessors are already in
-    # the repaired schedule, so data_ready_time sees their finish times.
+    # the repaired schedule, so the placement engine reads their finish
+    # times from it.
     remaining: Dict[TaskKey, int] = {}
     ready: List[Tuple[float, str, int, float]] = []
     for name in sorted(replanned):

@@ -9,31 +9,35 @@ keeps that original formulation alive:
   ``np.lexsort`` over the processor free times,
 * :class:`ReferenceCommunicationEstimator` -- uncached topology queries
   per transfer estimate,
-* :class:`ReferencePlacementEngine` -- one timeline query per candidate
-  processor count of the packing sweep, scalar Amdahl durations,
+* :class:`ReferencePlacementEngine` -- every cluster evaluated in
+  declaration order, data-ready times re-read from the schedule per
+  cluster, one timeline query per candidate processor count of the
+  packing sweep, scalar Amdahl durations,
 * :class:`ReferenceReadyListMapper` -- list re-sorted per event, readiness
   discovered by rescanning the completed set,
 * :func:`reference_implementation` -- a context manager that swaps the
   reference classes into every consumer (mappers, baselines, schedulers),
   so a whole pipeline can be replayed on the pre-refactor code path.
 
-It exists only for the golden-schedule test
-(``tests/test_mapping_golden.py``) and the old-vs-new benchmark
-(``benchmarks/bench_mapping_core.py``); production code must import the
-optimized classes from :mod:`repro.mapping`.
+It exists only for the golden-schedule tests
+(``tests/test_mapping_golden.py``, ``tests/test_delta_golden.py``), the
+old-vs-new benchmarks (``benchmarks/bench_mapping_core.py``,
+``benchmarks/bench_delta_eft.py``) and the bit-identity oracles of the
+repo benchmark (``perfbench/oracle.py``); production code must import
+the optimized classes from :mod:`repro.mapping`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import MappingError
 from repro.mapping.base import AllocatedPTG, Mapper
-from repro.mapping.eft import PlacementEngine
+from repro.mapping.eft import PlacementDecision, PlacementEngine
 from repro.mapping.schedule import Schedule
 from repro.platform.cluster import Cluster
 from repro.platform.multicluster import MultiClusterPlatform
@@ -166,23 +170,37 @@ class ReferenceCommunicationEstimator:
 
 
 class ReferencePlacementEngine(PlacementEngine):
-    """Original EFT engine: one timeline query per packing candidate.
+    """Original EFT engine: a full declaration-order scan of every cluster.
 
-    Inherits the placement driver but overrides the per-cluster
-    evaluation with the pre-refactor per-probe formulation, and defaults
-    to the uncached :class:`ReferenceCommunicationEstimator`.
+    Inherits :meth:`place` but overrides the cluster selection
+    with the pre-refactor formulation -- per-cluster data-ready times and
+    one timeline query per packing candidate -- and defaults to the
+    uncached :class:`ReferenceCommunicationEstimator`.
     """
 
-    def __init__(self, platform, enable_packing=True, comm=None, delta=False):
-        # ``delta`` is accepted for signature compatibility but always
-        # disabled: the reference engine must take the full per-cluster
-        # evaluation below (the delta path never calls _evaluate_cluster).
+    def __init__(self, platform, enable_packing=True, comm=None):
         super().__init__(
             platform,
             enable_packing=enable_packing,
             comm=comm or ReferenceCommunicationEstimator(platform),
-            delta=False,
         )
+
+    def data_ready_time(
+        self, ptg_name, task_id, predecessors, schedule, dst_cluster, not_before=0.0
+    ):
+        """Earliest time the inputs of a task are available on *dst_cluster*.
+
+        *predecessors* is a list of ``(pred_task_id, edge_data_bytes)``;
+        each predecessor must already be in *schedule*.
+        """
+        ready = not_before
+        for pred_id, data_bytes in predecessors:
+            pred_entry = schedule.entry(ptg_name, pred_id)
+            transfer = self.comm.transfer_time(
+                data_bytes, pred_entry.cluster_name, dst_cluster
+            )
+            ready = max(ready, pred_entry.finish + transfer)
+        return ready
 
     def _evaluate_cluster(self, task, allocation, cluster_name, ready_time):
         """Best ``(procs, start, finish, packed, original)`` on one cluster."""
@@ -210,6 +228,39 @@ class ReferencePlacementEngine(PlacementEngine):
                 ):
                     best = (procs, alt_start, alt_finish, True, requested)
         return best
+
+    def _select(
+        self, ptg_name, task, allocation, predecessors, schedule, not_before
+    ):
+        """Evaluate every cluster; earliest ``(finish, start)`` wins.
+
+        Ties are broken by the platform's cluster declaration order.
+        """
+        best_decision: Optional[PlacementDecision] = None
+        for cluster in self.platform:
+            ready = self.data_ready_time(
+                ptg_name, task.task_id, predecessors, schedule, cluster.name, not_before
+            )
+            procs, start, finish, packed, original = self._evaluate_cluster(
+                task, allocation, cluster.name, ready
+            )
+            decision = PlacementDecision(
+                cluster_name=cluster.name,
+                processors=procs,
+                start=start,
+                finish=finish,
+                packed=packed,
+                original_processors=original,
+            )
+            if best_decision is None or (decision.finish, decision.start) < (
+                best_decision.finish,
+                best_decision.start,
+            ):
+                best_decision = decision
+        if best_decision is None:  # pragma: no cover - platform is never empty
+            raise MappingError("platform has no cluster to place the task on")
+        return best_decision
+
 
 class ReferenceReadyListMapper(Mapper):
     """Original ready-list mapper: per-event sort + completed-set rescan."""
@@ -308,8 +359,10 @@ def reference_implementation():
     hot-path components: the timelines used by
     :class:`~repro.mapping.timeline.PlatformTimeline` (and therefore by
     the HEFT / M-HEFT baselines), the placement engine used by the
-    mappers and the online scheduler, and the ready-list mapper used by
+    mappers and the streaming session, and the ready-list mapper used by
     the concurrent scheduler.  Restores the optimized classes on exit.
+    (:class:`~repro.scheduler._reference.ReferenceOnlineScheduler` needs
+    no patch: it builds a :class:`ReferencePlacementEngine` itself.)
     """
     import repro.baselines.heft as heft_mod
     import repro.baselines.mheft as mheft_mod
@@ -318,7 +371,6 @@ def reference_implementation():
     import repro.mapping.timeline as timeline_mod
     import repro.scheduler.concurrent as concurrent_mod
     import repro.scheduler.single as single_mod
-    import repro.scheduler._reference as online_reference_mod
     import repro.streaming.engine as streaming_engine_mod
 
     patches = [
@@ -326,7 +378,6 @@ def reference_implementation():
         (ready_list_mod, "PlacementEngine", ReferencePlacementEngine),
         (global_order_mod, "PlacementEngine", ReferencePlacementEngine),
         (streaming_engine_mod, "PlacementEngine", ReferencePlacementEngine),
-        (online_reference_mod, "PlacementEngine", ReferencePlacementEngine),
         (concurrent_mod, "ReadyListMapper", ReferenceReadyListMapper),
         (single_mod, "ReadyListMapper", ReferenceReadyListMapper),
         (heft_mod, "CommunicationEstimator", ReferenceCommunicationEstimator),

@@ -51,12 +51,8 @@ class ReadyListMapper(Mapper):
 
     name = "ready-list"
 
-    def __init__(self, enable_packing: bool = True, delta: bool = True) -> None:
-        """*delta* selects the delta-EFT candidate evaluation of the
-        placement engine (bit-identical; ``False`` is the golden
-        fallback that evaluates every cluster in declaration order)."""
+    def __init__(self, enable_packing: bool = True) -> None:
         self.enable_packing = enable_packing
-        self.delta = delta
 
     def map(
         self, allocated: Sequence[AllocatedPTG], platform: MultiClusterPlatform
@@ -68,9 +64,7 @@ class ReadyListMapper(Mapper):
         """
         self._check_inputs(allocated)
         schedule = Schedule(platform.name)
-        engine = PlacementEngine(
-            platform, enable_packing=self.enable_packing, delta=self.delta
-        )
+        engine = PlacementEngine(platform, enable_packing=self.enable_packing)
 
         apps: Dict[str, AllocatedPTG] = {a.name: a for a in allocated}
         bottom_levels: Dict[str, Dict[int, float]] = {

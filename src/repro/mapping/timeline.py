@@ -11,19 +11,21 @@ on the ready-task ordering plus the allocation packing mechanism.
 
 Performance
 -----------
-A timeline maintains the free times twice: per processor (needed to pick
-concrete processor indices) and as an **incrementally sorted array**.
-Reserving ``p`` processors removes the ``p`` smallest entries from the
-sorted array and re-inserts ``p`` copies of the finish time at the
-position found by :func:`numpy.searchsorted`, so the array never needs a
-full sort or an :func:`numpy.partition` again.  ``earliest_start`` then
-becomes an O(1) lookup of the ``p``-th entry, and the EFT packing sweep in
-:mod:`repro.mapping.eft` reads the whole candidate range ``k = 1..p`` in
-one shot through :meth:`ClusterTimeline.kth_free_times`.
+A timeline maintains the free times twice: per processor as a NumPy
+array (needed to pick concrete processor indices) and as an
+**incrementally sorted Python list**.  Reserving ``p`` processors removes
+the ``p`` smallest entries from the sorted list and splices ``p`` copies
+of the finish time in at the position found by :func:`bisect.bisect_left`,
+so the list never needs a full sort or an :func:`numpy.partition` again.
+``earliest_start`` then becomes an O(1) lookup of the ``p``-th entry, and
+the delta-EFT selection in :mod:`repro.mapping.eft` reads individual
+entries of the whole candidate range ``k = 1..p`` through
+:meth:`ClusterTimeline.kth_free_list` without per-access NumPy boxing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,20 +57,16 @@ class ClusterTimeline:
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         self._free_at = np.zeros(cluster.num_processors, dtype=float)
-        # Sorted copy of ``_free_at`` (values only), kept in sync by
-        # ``reserve`` with a searchsorted insert instead of re-sorting.
-        self._sorted_free = np.zeros(cluster.num_processors, dtype=float)
-        # Plain-Python mirror of ``_sorted_free``, materialised on demand
-        # by :meth:`kth_free_list` and spliced incrementally on reserve:
-        # the delta-EFT engine reads individual entries thousands of
-        # times, where NumPy scalar boxing would dominate.  ``None``
-        # means "rebuild from ``_sorted_free`` on next access".
-        self._sorted_list: Optional[List[float]] = None
+        # Sorted copy of ``_free_at`` (values only) as a plain Python
+        # list, kept in sync by ``reserve`` with a bisect splice instead
+        # of re-sorting: the delta-EFT engine reads individual entries
+        # thousands of times, where NumPy scalar boxing would dominate.
+        self._sorted: List[float] = [0.0] * cluster.num_processors
         # Transaction support (:meth:`begin_transaction`): when active,
         # the first mutation snapshots the pre-transaction state so a
         # rollback can restore it bitwise.
         self._txn_active = False
-        self._txn_saved: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._txn_saved: Optional[Tuple[np.ndarray, List[float]]] = None
 
     @property
     def num_processors(self) -> int:
@@ -79,33 +77,19 @@ class ClusterTimeline:
         """A copy of the per-processor free times."""
         return self._free_at.copy()
 
-    def kth_free_times(self) -> np.ndarray:
-        """The sorted processor free times (ascending).
+    def kth_free_list(self) -> List[float]:
+        """The sorted processor free times (ascending) as a Python list.
 
         Entry ``k-1`` is the earliest time at which ``k`` processors are
         simultaneously free under the non-insertion policy, so the EFT
         engine can evaluate every candidate processor count of the
-        allocation packing rule against this single array instead of
-        issuing one :meth:`earliest_start` query per count.
-
-        The returned array is the timeline's internal state: callers must
-        not mutate it (take a ``.copy()`` to keep it across reservations).
+        allocation packing rule against this single list instead of
+        issuing one :meth:`earliest_start` query per count.  The
+        returned list is internal state, spliced in place by
+        :meth:`reserve`: callers must not mutate it, nor hold it across
+        a reservation, rollback or :meth:`block`.
         """
-        return self._sorted_free
-
-    def kth_free_list(self) -> List[float]:
-        """The sorted processor free times as a plain Python list.
-
-        Same values as :meth:`kth_free_times` (entry ``k-1`` is the
-        earliest time ``k`` processors are simultaneously free), kept in
-        sync incrementally across reservations so the delta-EFT engine
-        can read frontier entries without per-access NumPy boxing.  The
-        returned list is internal state: callers must not mutate it.
-        """
-        cached = self._sorted_list
-        if cached is None:
-            cached = self._sorted_list = self._sorted_free.tolist()
-        return cached
+        return self._sorted
 
     # ------------------------------------------------------------------ #
     # transactions (used by the streaming session's atomic admission)
@@ -127,7 +111,7 @@ class ClusterTimeline:
 
     def _txn_snapshot(self) -> None:
         if self._txn_active and self._txn_saved is None:
-            self._txn_saved = (self._free_at.copy(), self._sorted_free.copy())
+            self._txn_saved = (self._free_at.copy(), self._sorted[:])
 
     def commit_transaction(self) -> None:
         """Keep the mutations made since :meth:`begin_transaction`."""
@@ -137,8 +121,7 @@ class ClusterTimeline:
     def rollback_transaction(self) -> None:
         """Restore the timeline to its :meth:`begin_transaction` state."""
         if self._txn_saved is not None:
-            self._free_at, self._sorted_free = self._txn_saved
-            self._sorted_list = None
+            self._free_at, self._sorted = self._txn_saved
         self._txn_active = False
         self._txn_saved = None
 
@@ -156,13 +139,12 @@ class ClusterTimeline:
         The task can start when its data is ready and *processors*
         processors are simultaneously free; with the non-insertion policy
         this is the ``processors``-th smallest free time.  O(1) thanks to
-        the incrementally maintained sorted array.
+        the incrementally maintained sorted list.
         """
         self._check_processors(processors)
         if ready_time < 0:
             raise MappingError(f"ready_time must be non-negative, got {ready_time}")
-        kth_free = float(self._sorted_free[processors - 1])
-        return max(ready_time, kth_free)
+        return max(ready_time, self._sorted[processors - 1])
 
     def select_processors(self, processors: int) -> List[int]:
         """Indices of the *processors* processors that free up first.
@@ -175,7 +157,7 @@ class ClusterTimeline:
         # The p-th smallest free time bounds the selection: everything
         # strictly below it is taken, ties at the boundary are filled in
         # index order.  This avoids a full lexsort of all P processors.
-        kth = self._sorted_free[processors - 1]
+        kth = self._sorted[processors - 1]
         below = np.flatnonzero(self._free_at < kth)
         if below.size < processors:
             equal = np.flatnonzero(self._free_at == kth)
@@ -203,22 +185,13 @@ class ClusterTimeline:
         finish = start + duration
         self._txn_snapshot()
         self._free_at[indices] = finish
-        # Incremental sorted-array update: the removed values are exactly
+        # Incremental sorted-list update: the removed values are exactly
         # the ``processors`` smallest, and the inserted value is >= all of
-        # them, so one searchsorted over the remainder suffices.
-        remaining = self._sorted_free[processors:]
-        pos = int(np.searchsorted(remaining, finish, side="left"))
-        updated = np.empty_like(self._sorted_free)
-        updated[:pos] = remaining[:pos]
-        updated[pos : pos + processors] = finish
-        updated[pos + processors :] = remaining[pos:]
-        self._sorted_free = updated
-        cached = self._sorted_list
-        if cached is not None:
-            # same splice on the Python mirror: drop the p smallest,
-            # insert p copies of ``finish`` at the searchsorted position
-            del cached[:processors]
-            cached[pos:pos] = [finish] * processors
+        # them, so one bisect over the remainder suffices.
+        sorted_free = self._sorted
+        del sorted_free[:processors]
+        pos = bisect_left(sorted_free, finish)
+        sorted_free[pos:pos] = [finish] * processors
         return indices, start, finish
 
     def block(self, processors: Sequence[int], until: float) -> None:
@@ -232,7 +205,7 @@ class ClusterTimeline:
         given up too (the model keeps no holes), which can only delay
         repaired placements, never invalidate them.  Unlike
         :meth:`reserve` this touches arbitrary processors, so the sorted
-        free-time array is rebuilt with a full sort (blocking happens
+        free-time list is rebuilt with a full sort (blocking happens
         once per repair pass, not per placement).
         """
         if until < 0:
@@ -246,8 +219,7 @@ class ClusterTimeline:
                 )
         self._txn_snapshot()
         self._free_at[indices] = np.maximum(self._free_at[indices], until)
-        self._sorted_free = np.sort(self._free_at)
-        self._sorted_list = None
+        self._sorted = sorted(self._free_at.tolist())
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of processor time booked up to *horizon* (diagnostics)."""

@@ -6,9 +6,11 @@ fixed arrival list that, after admitting each application, re-derives its
 completion time with a full scan of the schedule built so far
 (``Schedule.makespan`` iterates every placed entry of every earlier
 application), which makes long streams quadratic in the number of
-submissions.
+submissions.  It places tasks with the oracle placement engine
+(:class:`repro.mapping._reference.ReferencePlacementEngine`, the full
+declaration-order scan of every cluster), which it builds itself.
 
-It is kept for two purposes:
+It is kept for three purposes:
 
 * ``tests/test_scheduler_online_golden.py`` asserts that the event-driven
   :class:`repro.streaming.engine.StreamSession` produces **bit-identical**
@@ -16,7 +18,10 @@ It is kept for two purposes:
   lists -- the rework is a pure performance refactor;
 * ``benchmarks/bench_streaming.py`` uses it as the "naive replay"
   baseline: the only way to follow a growing arrival stream with this
-  implementation is to re-replay the whole prefix after every batch.
+  implementation is to re-replay the whole prefix after every batch;
+* ``perfbench/oracle.py`` replays a prefix of each benchmark stream on
+  it (inside ``reference_implementation()``, with the reference
+  allocation loop) to check the production run bit-for-bit.
 
 Do not "fix" or optimise this module: its value is to stay exactly what
 the optimized code must reproduce.
@@ -33,6 +38,7 @@ from repro.constraints.base import ConstraintStrategy
 from repro.constraints.strategies import EqualShareStrategy
 from repro.dag.graph import PTG
 from repro.exceptions import ConfigurationError
+from repro.mapping._reference import ReferencePlacementEngine
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.eft import PlacementEngine
 from repro.mapping.schedule import Schedule
@@ -110,10 +116,8 @@ class ReferenceOnlineScheduler:
     ) -> OnlineScheduleResult:
         """Schedule all submissions in arrival order."""
         ordered = self._check_arrivals(arrivals)
-        # the preserved replay stays on the full per-cluster evaluation:
-        # it is the baseline the delta-EFT session is compared against
-        engine = PlacementEngine(
-            platform, enable_packing=self.enable_packing, delta=False
+        engine = ReferencePlacementEngine(
+            platform, enable_packing=self.enable_packing
         )
         schedule = Schedule(platform.name)
 

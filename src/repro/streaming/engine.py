@@ -237,14 +237,6 @@ class StreamSession:
         paper's choice).
     enable_packing:
         Whether the mapper may shrink delayed allocations (paper: on).
-    delta:
-        Whether the placement engine uses the delta-EFT fast path
-        (default) or the full per-cluster evaluation; both are
-        bit-identical, the flag exists as the golden fallback.
-    batch_compile:
-        Whether :meth:`feed` batch-compiles the arrival chunk's graph
-        arrays and allocation tables through the stacked multi-PTG
-        kernels before admitting (bit-identical; golden fallback).
     """
 
     def __init__(
@@ -253,18 +245,12 @@ class StreamSession:
         strategy: Optional[ConstraintStrategy] = None,
         allocator: Optional[AllocationProcedure] = None,
         enable_packing: bool = True,
-        delta: bool = True,
-        batch_compile: bool = True,
     ) -> None:
         self.platform = platform
         self.strategy = strategy or EqualShareStrategy()
         self.allocator = allocator or ScrapMaxAllocator()
         self.enable_packing = enable_packing
-        self.delta = delta
-        self.batch_compile = batch_compile
-        self.engine = PlacementEngine(
-            platform, enable_packing=enable_packing, delta=delta
-        )
+        self.engine = PlacementEngine(platform, enable_packing=enable_packing)
         self.schedule = Schedule(platform.name)
         # reference view + allocation cap of this platform, precomputed
         # once for the batched allocation-table preparation of ``feed``
@@ -330,13 +316,15 @@ class StreamSession:
     def feed(self, arrivals: Iterable[Arrival]) -> None:
         """Admit a batch of arrivals, in ``(time, name)`` order.
 
-        The batch is sorted internally; it may be empty.  Feeding an
-        arrival earlier than one already admitted raises a
-        :class:`~repro.exceptions.ConfigurationError` -- an online
-        scheduler cannot revisit the past.
+        The batch is sorted internally; it may be empty.  A batch of more
+        than one arrival is first compiled through the stacked multi-PTG
+        kernels (:meth:`_prepare_batch`, bit-identical to per-graph
+        compilation).  Feeding an arrival earlier than one already
+        admitted raises a :class:`~repro.exceptions.ConfigurationError`
+        -- an online scheduler cannot revisit the past.
         """
         batch = sorted(arrivals, key=lambda a: (a.time, a.ptg.name))
-        if self.batch_compile and len(batch) > 1:
+        if len(batch) > 1:
             self._prepare_batch([arrival.ptg for arrival in batch])
         for arrival in batch:
             self.admit(arrival)

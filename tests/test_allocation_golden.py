@@ -34,6 +34,7 @@ from repro.allocation.state import AllocationState
 from repro.dag.arrays import SMALL_GRAPH_CUTOFF
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
 from repro.experiments.workload import WorkloadSpec, make_workload
+from repro import obs
 from repro.platform import grid5000
 from repro.platform.builder import single_cluster_platform
 
@@ -94,9 +95,9 @@ class TestGoldenRandomBatch:
 
     def test_large_graph_vectorized_dp_bit_identical(self):
         # a graph past SMALL_GRAPH_CUTOFF exercises the vectorized
-        # level-batched DP branch of AllocationState (including the
-        # incremental NumPy duration sync), which the paper-sized
-        # workloads above never reach
+        # level-batched DP branch of AllocationState (the initial bottom
+        # levels, computed once before the first increment), which the
+        # paper-sized workloads above never reach
         platform = grid5000.lille()
         reference = ReferenceCluster.of(platform)
         ptg = generate_random_ptg(42, RandomPTGConfig(n_tasks=550))
@@ -173,7 +174,7 @@ class TestGoldenAllocators:
 
 
 class TestGoldenCustomConstraint:
-    """Custom ConstraintCheck subclasses take the mirrored-dict path."""
+    """Custom ConstraintCheck subclasses run on the dict-based reference loop."""
 
     class _CapAtFour(ConstraintCheck):
         stop_on_violation = False
@@ -182,15 +183,37 @@ class TestGoldenCustomConstraint:
             """Freeze any task that tries to grow past four processors."""
             return allocation.processors(task.task_id) > 4
 
-    def test_custom_constraint_bit_identical(self, platform):
+    class _StopAtFour(ConstraintCheck):
+        stop_on_violation = True
+
+        def violated(self, allocation, task):
+            """Stop the whole loop once a task tries to grow past four."""
+            return allocation.processors(task.task_id) > 4
+
+    @pytest.mark.parametrize("check", [_CapAtFour, _StopAtFour], ids=["freeze", "stop"])
+    def test_custom_constraint_bit_identical(self, platform, check):
         ptg = make_workload(WorkloadSpec(family="random", n_ptgs=1, seed=11))[0]
         reference = ReferenceCluster.of(platform)
         fast_alloc, fast_stats = run_iterative_allocation(
-            ptg, platform, reference, 1.0, self._CapAtFour()
+            ptg, platform, reference, 1.0, check()
         )
         ref_alloc, ref_stats = run_reference_allocation(
-            ptg, platform, reference, 1.0, self._CapAtFour()
+            ptg, platform, reference, 1.0, check()
         )
         assert fast_alloc.as_dict() == ref_alloc.as_dict()
         assert fast_stats == ref_stats
         assert max(fast_alloc.as_dict().values()) <= 4
+        if check.stop_on_violation:
+            assert fast_stats.stopped_by_constraint
+
+    def test_custom_constraint_route_emits_counters(self, platform):
+        ptg = make_workload(WorkloadSpec(family="random", n_ptgs=1, seed=11))[0]
+        reference = ReferenceCluster.of(platform)
+        with obs.capture() as session:
+            _, stats = run_iterative_allocation(
+                ptg, platform, reference, 1.0, self._CapAtFour()
+            )
+        counters = session.registry.counters
+        assert counters["allocation.calls"].value == 1
+        assert counters["allocation.iterations"].value == stats.iterations
+        assert stats.iterations > 0

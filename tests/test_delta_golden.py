@@ -1,20 +1,23 @@
 """Golden tests for the sub-millisecond admission fast paths.
 
-Three optimizations ride the admission hot path and each keeps its
-reference formulation switchable as a golden fallback:
+Three optimizations ride the admission hot path, and each is compared
+against the oracle of its stage:
 
-* **delta-EFT** placement (``PlacementEngine(delta=...)``, surfaced as
-  ``StreamSession(delta=...)`` and the mappers' ``delta`` flag): cached
-  per-cluster free-time frontiers with dominance cutoffs must pick the
-  exact placements the full declaration-order scan picks;
-* the **fused allocation loop** (``fast=...`` on the CPA-family
-  allocators): incremental bottom levels and freeze-skip must produce
-  the same allocations and iteration diagnostics as the per-iteration
-  recomputation;
+* **delta-EFT** placement (:class:`~repro.mapping.eft.PlacementEngine`,
+  used by :class:`~repro.streaming.engine.StreamSession` and both
+  mappers): cached per-cluster free-time frontiers with dominance
+  cutoffs must pick the exact placements the declaration-order scan of
+  :class:`~repro.mapping._reference.ReferencePlacementEngine` picks --
+  streams and mappings are replayed inside ``reference_implementation()``
+  with SCRAP-MAX on ``run_reference_allocation``;
+* the **fused allocation loop** (:mod:`repro.allocation.fastloop`, run by
+  every CPA-family allocator): incremental bottom levels and freeze-skip
+  must produce the same allocations and iteration diagnostics as the
+  dict-based loop of :func:`~repro.allocation._reference.run_reference_allocation`;
 * the **batched multi-PTG kernels** (``compile_arrays_batch``,
-  ``prepare_allocation_tables``, ``StreamSession(batch_compile=...)``):
-  stacked-arena compilation must hand every consumer the same arrays and
-  tables as the per-graph construction.
+  ``prepare_allocation_tables``, run by a multi-arrival
+  ``StreamSession.feed``): stacked-arena compilation must hand every
+  consumer the same arrays and tables as the per-graph construction.
 
 Every comparison is **exact** (``==`` on floats, no tolerance), the same
 discipline as ``test_mapping_golden.py`` / ``test_allocation_golden.py``.
@@ -28,8 +31,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.allocation._reference import run_reference_allocation
+from repro.allocation.base import AllocationProcedure
 from repro.allocation.cpa import CPAAllocator
 from repro.allocation.hcpa import HCPAAllocator
+from repro.allocation.iterative import AreaConstraint, LevelConstraint, NoConstraint
 from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
 from repro.allocation.state import (
     AllocationState,
@@ -41,6 +47,7 @@ from repro.constraints.registry import paper_strategies
 from repro.dag.arrays import compile_arrays, compile_arrays_batch
 from repro.exceptions import AllocationError, ConfigurationError, MappingError
 from repro.experiments.workload import WorkloadSpec, make_workload
+from repro.mapping._reference import reference_implementation
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.global_order import GlobalOrderMapper
 from repro.mapping.ready_list import ReadyListMapper
@@ -51,6 +58,11 @@ from repro.streaming.spec import ArrivalSpec, generate_arrivals
 from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg
+
+STREAM_SPEC = ArrivalSpec(
+    process="poisson", rate=0.05, n_arrivals=12, seed=11,
+    family="random", max_tasks=12,
+)
 
 
 def assert_identical_schedules(fast, reference):
@@ -75,30 +87,43 @@ def assert_identical_stream_results(fast, ref):
     assert_identical_schedules(fast.schedule, ref.schedule)
 
 
-def optimized_session(platform, strategy=None, **kwargs):
-    """A session with every fast path on (the production defaults)."""
-    return StreamSession(platform, strategy, **kwargs)
+class ReferenceScrapMax(AllocationProcedure):
+    """SCRAP-MAX on the dict-based reference allocation loop."""
+
+    name = "SCRAP-MAX"
+
+    def allocate(self, ptg, platform, beta=1.0):
+        """Allocate *ptg* under the per-level constraint *beta*."""
+        allocation, _ = run_reference_allocation(
+            ptg,
+            platform,
+            ReferenceCluster.of(platform),
+            beta,
+            LevelConstraint(beta, platform.total_power_gflops),
+        )
+        return allocation
 
 
-def reference_session(platform, strategy=None, **kwargs):
-    """A session forced onto every golden fallback path."""
-    return StreamSession(
-        platform,
-        strategy,
-        allocator=ScrapMaxAllocator(fast=False),
-        delta=False,
-        batch_compile=False,
-        **kwargs,
-    )
+def stream_result(platform, arrivals, strategy=None, **kwargs):
+    """Feed *arrivals* to a production session (every fast path on)."""
+    session = StreamSession(platform, strategy, **kwargs)
+    session.feed(arrivals)
+    return session.result()
+
+
+def reference_stream_result(platform, arrivals, strategy=None, **kwargs):
+    """Feed *arrivals* to a session built and fed on the oracles."""
+    with reference_implementation():
+        session = StreamSession(
+            platform, strategy, allocator=ReferenceScrapMax(), **kwargs
+        )
+        session.feed(arrivals)
+    return session.result()
 
 
 @pytest.fixture(scope="module")
 def stream():
-    spec = ArrivalSpec(
-        process="poisson", rate=0.05, n_arrivals=12, seed=11,
-        family="random", max_tasks=12,
-    )
-    return generate_arrivals(spec)
+    return generate_arrivals(STREAM_SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -107,16 +132,15 @@ def workload():
 
 
 class TestDeltaEFTGolden:
-    """Delta-EFT admissions equal the full per-cluster evaluation."""
+    """Delta-EFT admissions equal the oracle's full per-cluster evaluation."""
 
     @pytest.mark.parametrize("strategy", paper_strategies(), ids=lambda s: s.name)
     def test_stream_bit_identical_per_strategy(self, stream, strategy):
         platform = grid5000.composed()
-        fast = optimized_session(platform, strategy)
-        fast.feed(stream)
-        ref = reference_session(platform, strategy)
-        ref.feed(stream)
-        assert_identical_stream_results(fast.result(), ref.result())
+        assert_identical_stream_results(
+            stream_result(platform, stream, strategy),
+            reference_stream_result(platform, stream, strategy),
+        )
 
     @pytest.mark.parametrize("packing", [True, False], ids=["packing", "no-packing"])
     @pytest.mark.parametrize(
@@ -129,48 +153,60 @@ class TestDeltaEFTGolden:
         allocated = [
             AllocatedPTG(ptg, allocator.allocate(ptg, platform)) for ptg in workload
         ]
-        fast = mapper_cls(enable_packing=packing, delta=True).map(allocated, platform)
-        ref = mapper_cls(enable_packing=packing, delta=False).map(allocated, platform)
+        fast = mapper_cls(enable_packing=packing).map(allocated, platform)
+        with reference_implementation():
+            ref = mapper_cls(enable_packing=packing).map(allocated, platform)
         assert_identical_schedules(fast, ref)
 
     @pytest.mark.parametrize("packing", [True, False], ids=["packing", "no-packing"])
     def test_stream_packing_modes_bit_identical(self, stream, packing):
         platform = grid5000.site("sophia")
-        fast = optimized_session(platform, enable_packing=packing)
-        fast.feed(stream)
-        ref = reference_session(platform, enable_packing=packing)
-        ref.feed(stream)
-        assert_identical_stream_results(fast.result(), ref.result())
+        assert_identical_stream_results(
+            stream_result(platform, stream, enable_packing=packing),
+            reference_stream_result(platform, stream, enable_packing=packing),
+        )
 
 
 class TestFastLoopGolden:
-    """The fused allocation loop equals the per-iteration recomputation."""
+    """The fused allocation loop equals the dict-based reference loop."""
 
+    #: (allocator, kwargs, platform, matching reference constraint)
     ALLOCATORS = [
         (CPAAllocator, {"efficiency_threshold": 0.3}, single_cluster_platform(
-            num_processors=24, speed_gflops=3.0)),
-        (HCPAAllocator, {}, grid5000.site("lille")),
-        (ScrapAllocator, {}, grid5000.site("nancy")),
-        (ScrapMaxAllocator, {}, grid5000.site("nancy")),
+            num_processors=24, speed_gflops=3.0), lambda beta, power: NoConstraint()),
+        (HCPAAllocator, {}, grid5000.site("lille"), lambda beta, power: NoConstraint()),
+        (ScrapAllocator, {}, grid5000.site("nancy"), AreaConstraint),
+        (ScrapMaxAllocator, {}, grid5000.site("nancy"), LevelConstraint),
     ]
 
+    @staticmethod
+    def reference_run(ptg, platform, beta, constraint, **kwargs):
+        return run_reference_allocation(
+            ptg,
+            platform,
+            ReferenceCluster.of(platform),
+            beta,
+            constraint(beta, platform.total_power_gflops),
+            **kwargs,
+        )
+
     @pytest.mark.parametrize(
-        "allocator_cls,kwargs,platform", ALLOCATORS,
+        "allocator_cls,kwargs,platform,constraint", ALLOCATORS,
         ids=["cpa", "hcpa", "scrap", "scrap-max"],
     )
     @pytest.mark.parametrize("beta", [0.25, 0.6, 1.0])
     def test_allocations_and_stats_bit_identical(
-        self, workload, allocator_cls, kwargs, platform, beta
+        self, workload, allocator_cls, kwargs, platform, constraint, beta
     ):
         for ptg in workload:
-            fast_alloc = allocator_cls(fast=True, **kwargs)
-            slow_alloc = allocator_cls(fast=False, **kwargs)
-            fast = fast_alloc.allocate(ptg, platform, beta=beta)
-            slow = slow_alloc.allocate(ptg, platform, beta=beta)
-            for task in ptg.tasks():
-                assert fast.processors(task.task_id) == slow.processors(task.task_id)
-            if hasattr(fast_alloc, "last_stats"):
-                assert fast_alloc.last_stats == slow_alloc.last_stats
+            allocator = allocator_cls(**kwargs)
+            fast = allocator.allocate(ptg, platform, beta=beta)
+            ref, ref_stats = self.reference_run(
+                ptg, platform, beta, constraint, **kwargs
+            )
+            assert fast.as_dict() == ref.as_dict()
+            if hasattr(allocator, "last_stats"):
+                assert allocator.last_stats == ref_stats
 
     def test_freeze_heavy_case_bit_identical(self):
         """A tiny beta forces many per-level freezes (the freeze-skip path)."""
@@ -178,14 +214,12 @@ class TestFastLoopGolden:
         ptg = make_workload(
             WorkloadSpec(family="random", n_ptgs=1, seed=3, max_tasks=25)
         )[0]
-        fast_alloc = ScrapMaxAllocator(fast=True)
-        slow_alloc = ScrapMaxAllocator(fast=False)
-        fast = fast_alloc.allocate(ptg, platform, beta=0.1)
-        slow = slow_alloc.allocate(ptg, platform, beta=0.1)
-        for task in ptg.tasks():
-            assert fast.processors(task.task_id) == slow.processors(task.task_id)
-        assert fast_alloc.last_stats == slow_alloc.last_stats
-        assert fast_alloc.last_stats.frozen_tasks > 0  # the case exercises freezes
+        allocator = ScrapMaxAllocator()
+        fast = allocator.allocate(ptg, platform, beta=0.1)
+        ref, ref_stats = self.reference_run(ptg, platform, 0.1, LevelConstraint)
+        assert fast.as_dict() == ref.as_dict()
+        assert allocator.last_stats == ref_stats
+        assert allocator.last_stats.frozen_tasks > 0  # the case exercises freezes
 
 
 class TestBatchedKernels:
@@ -235,13 +269,15 @@ class TestBatchedKernels:
         assert "alloc_tables" not in ptg._cache
         discard_allocation_tables(ptg)  # idempotent
 
-    def test_batched_feed_bit_identical(self, stream):
+    def test_batched_feed_bit_identical(self):
+        # fresh graphs on both sides, so the arrival-by-arrival session
+        # compiles per graph instead of reusing the batch's arena
         platform = grid5000.composed()
-        fast = StreamSession(platform, batch_compile=True)
-        fast.feed(stream)
-        ref = StreamSession(platform, batch_compile=False)
-        ref.feed(stream)
-        assert_identical_stream_results(fast.result(), ref.result())
+        batched = stream_result(platform, generate_arrivals(STREAM_SPEC))
+        single = StreamSession(platform)
+        for arrival in generate_arrivals(STREAM_SPEC):
+            single.feed([arrival])
+        assert_identical_stream_results(batched, single.result())
 
 
 class ExplodingAllocator(ScrapMaxAllocator):
@@ -390,11 +426,8 @@ class TestDeltaEFTProperties:
             family="random", max_tasks=8,
         )
         stream = generate_arrivals(spec)
-        fast = optimized_session(platform)
-        fast.feed(stream)
-        ref = reference_session(platform)
-        ref.feed(stream)
-        fast_result, ref_result = fast.result(), ref.result()
+        fast_result = stream_result(platform, stream)
+        ref_result = reference_stream_result(platform, stream)
         assert_identical_stream_results(fast_result, ref_result)
         report = validate_schedule(
             fast_result.schedule, [a.ptg for a in stream], platform

