@@ -11,8 +11,11 @@ of 10/20/50 tasks per seed on a full Grid'5000 site, across the four
 procedures and three betas) through
 
 1. the optimized core (:class:`repro.allocation.state.AllocationState`:
-   precomputed duration/area/gain tables, incremental resource sums,
-   array-compiled critical-path DP over the shared ``DagArrays``), and
+   precomputed duration/area/gain tables and the initial bottom-level DP
+   over the shared ``DagArrays``, driven by the fused loop of
+   :mod:`repro.allocation.fastloop`: incremental bottom levels, T_CP read
+   off the single entry, an O(1) per-level processor count for
+   SCRAP-MAX's level test), and
 2. the pre-refactor loop kept in :mod:`repro.allocation._reference`,
 
 checks that both produce **bit-identical allocations and iteration

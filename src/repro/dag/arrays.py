@@ -305,38 +305,6 @@ class DagArrays:
             bl[v] = durations[v] + best
         return bl
 
-    def critical_path_py(self, bl: List[float]) -> List[int]:
-        """Scalar critical-path walk over a Python bottom-level list.
-
-        Same tie-breaks as :meth:`critical_path` (maximal bottom level,
-        ties to the smallest task id) without NumPy per-step overhead.
-        """
-        if self.n_tasks == 0:
-            return []
-        task_ids = self.task_ids_tuple
-        current = best_tid = None
-        best = float("-inf")
-        for i in self.entries_tuple:
-            w = bl[i]
-            tid = task_ids[i]
-            if w > best or (w == best and tid < best_tid):
-                best, best_tid, current = w, tid, i
-        path = [current]
-        succ_of = self.succ_tuples
-        succs = succ_of[current]
-        while succs:
-            # adjacency is tid-sorted, so the first maximal bottom level
-            # is the smallest-tid tie-break of the reference walk
-            best = float("-inf")
-            for s in succs:
-                w = bl[s]
-                if w > best:
-                    best, current = w, s
-            path.append(current)
-            succs = succ_of[current]
-        return path
-
-
 
 #: Per-graph list fields gathered by :func:`_gather`, with the dtype the
 #: concatenated arena (or the single-graph array) is built with.

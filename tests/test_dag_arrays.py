@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.allocation._reference import run_reference_allocation
+from repro.allocation.iterative import NoConstraint, run_iterative_allocation
+from repro.allocation.reference import ReferenceCluster
 from repro.dag import PTG, DagArrays, Task, compile_arrays
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
 from repro.exceptions import InvalidGraphError
+from repro.platform.builder import single_cluster_platform
 
 
 def diamond():
@@ -105,16 +109,13 @@ class TestBottomLevels:
         durations = np.array([time_fn(t) for t in g.tasks()])
         bl = arrays.bottom_levels(durations)
         vectorized = [arrays.task_ids_tuple[i] for i in arrays.critical_path(bl)]
-        scalar = [
-            arrays.task_ids_tuple[i] for i in arrays.critical_path_py(bl.tolist())
-        ]
         assert vectorized == expected
-        assert scalar == expected
         assert arrays.critical_path_length(durations) == g.critical_path_length(time_fn)
 
     def test_tie_break_prefers_smallest_tid(self):
         # two parallel middle tasks with identical costs: the reference
-        # walk picks the smaller task id
+        # walk picks the smaller task id, so the first increment of the
+        # allocation loop's critical-path walk goes to task 3, not 5
         g = PTG("tie")
         g.add_task(Task(0, 1e9, 0.0))
         g.add_task(Task(5, 2e9, 0.0))
@@ -124,8 +125,19 @@ class TestBottomLevels:
             g.add_edge(0, mid, 0.0)
             g.add_edge(mid, 7, 0.0)
         time_fn = lambda t: t.execution_time(1, 1e9)
-        arrays = g.arrays()
-        durations = np.array([time_fn(t) for t in g.tasks()])
-        bl = arrays.bottom_levels(durations)
-        path = [arrays.task_ids_tuple[i] for i in arrays.critical_path_py(bl.tolist())]
-        assert path == g.critical_path(time_fn) == [0, 3, 7]
+        assert g.critical_path(time_fn) == [0, 3, 7]
+        platform = single_cluster_platform(num_processors=8, speed_gflops=1.0)
+        reference = ReferenceCluster.of(platform)
+        for max_iterations in (1, 2, 3, None):
+            fused, stats = run_iterative_allocation(
+                g, platform, reference, 1.0, NoConstraint(),
+                max_iterations=max_iterations,
+            )
+            oracle, oracle_stats = run_reference_allocation(
+                g, platform, reference, 1.0, NoConstraint(),
+                max_iterations=max_iterations,
+            )
+            assert fused.as_dict() == oracle.as_dict()
+            assert stats == oracle_stats
+            if max_iterations == 1:
+                assert fused.as_dict() == {0: 1, 5: 1, 3: 2, 7: 1}

@@ -11,9 +11,10 @@ against the oracle of its stage:
   streams and mappings are replayed inside ``reference_implementation()``
   with SCRAP-MAX on ``run_reference_allocation``;
 * the **fused allocation loop** (:mod:`repro.allocation.fastloop`, run by
-  every CPA-family allocator): incremental bottom levels and freeze-skip
-  must produce the same allocations and iteration diagnostics as the
-  dict-based loop of :func:`~repro.allocation._reference.run_reference_allocation`;
+  every CPA-family allocator): incremental bottom levels, freeze-skip and
+  the O(1) level test with its rounding-band fallback must produce the
+  same allocations and iteration diagnostics as the dict-based loop of
+  :func:`~repro.allocation._reference.run_reference_allocation`;
 * the **batched multi-PTG kernels** (``compile_arrays_batch``,
   ``prepare_allocation_tables``, run by a multi-arrival
   ``StreamSession.feed``): stacked-arena compilation must hand every
@@ -26,6 +27,8 @@ admission leaves the session bit-identical to one that never saw the
 arrival) and the accessor error contract (``ConfigurationError``, never a
 raw ``KeyError`` / ``StopIteration``).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ from repro.allocation.state import (
 )
 from repro.allocation.reference import ReferenceCluster
 from repro.constraints.registry import paper_strategies
+from repro.dag import PTG, Task
 from repro.dag.arrays import compile_arrays, compile_arrays_batch
 from repro.exceptions import AllocationError, ConfigurationError, MappingError
 from repro.experiments.workload import WorkloadSpec, make_workload
@@ -220,6 +224,108 @@ class TestFastLoopGolden:
         assert fast.as_dict() == ref.as_dict()
         assert allocator.last_stats == ref_stats
         assert allocator.last_stats.frozen_tasks > 0  # the case exercises freezes
+
+    @staticmethod
+    def wide_level_ptg(width, synthetic_every):
+        """Entry -> *width* parallel tasks -> exit, every few of them synthetic."""
+        ptg = PTG(f"wide-{width}")
+        ptg.add_task(Task.synthetic(0))
+        for tid in range(1, width + 1):
+            if tid % synthetic_every == 0:
+                ptg.add_task(Task.synthetic(tid))
+            else:
+                ptg.add_task(Task(tid, 1e9 * (1 + (tid * 7) % 5), 0.0))
+        ptg.add_task(Task.synthetic(width + 1))
+        for tid in range(1, width + 1):
+            ptg.add_edge(0, tid, 0.0)
+            ptg.add_edge(tid, width + 1, 0.0)
+        return ptg
+
+    @staticmethod
+    def beta_for_limit(limit, power):
+        """The beta whose ``beta * power + 1e-12`` is exactly *limit*."""
+        beta = (limit - 1e-12) / power
+        for _ in range(64):
+            got = beta * power + 1e-12
+            if got == limit:
+                return beta
+            beta = math.nextafter(beta, math.inf if got < limit else -math.inf)
+        raise AssertionError(f"no beta puts the level limit on {limit!r}")
+
+    @pytest.mark.parametrize(
+        "speed,width,synthetic_every", [(0.1, 12, 4), (0.3, 40, 5), (0.7, 25, 3)]
+    )
+    def test_level_limit_inside_rounding_band(self, speed, width, synthetic_every):
+        """The SCRAP-MAX limit sits a few ULPs from a reachable level sum.
+
+        The fused loop decides the level test from ``count * speed``
+        outside a rounding band and falls back to the reference's
+        fold-left ``sum`` inside it.  Here the limit lands on, and a few
+        ULPs either side of, a level sum the reference loop reaches and
+        whose fold-left value differs from ``fl(count * speed)``, so
+        only the exact fallback can match the reference.
+        """
+
+        class RecordingLevelConstraint(LevelConstraint):
+            def __init__(self, beta, power):
+                super().__init__(beta, power)
+                self.seen = []
+
+            def violated(self, allocation, task):
+                ptg = allocation.ptg
+                members = ptg.tasks_by_level()[ptg.precedence_level(task.task_id)]
+                real = [t for t in members if not ptg.task(t).is_synthetic]
+                count = sum(allocation.processors(t) for t in real)
+                level_sum = sum(allocation.task_power(ptg.task(t)) for t in members)
+                self.seen.append((level_sum, count, len(real), len(members)))
+                return super().violated(allocation, task)
+
+        platform = single_cluster_platform(num_processors=64, speed_gflops=speed)
+        power = platform.total_power_gflops
+        reference = ReferenceCluster.of(platform)
+        ptg = self.wide_level_ptg(width, synthetic_every)
+
+        # the level sums the unconstrained run tests, increment by increment;
+        # with the balance stop off, a smaller beta follows the same path
+        # until its limit first bites
+        recorder = RecordingLevelConstraint(1.0, power)
+        run_reference_allocation(
+            ptg, platform, reference, 1.0, recorder, use_balance_stop=False
+        )
+        level_sum, count, _, k = next(
+            entry
+            for entry in recorder.seen
+            if entry[1] > entry[2] + 3 and entry[0] != entry[1] * speed
+        )
+        # the fused loop's band: (k + 2) * 2**-52 * fl(count * speed)
+        band = (k + 2) * 2.0**-52 * (count * speed)
+
+        # consecutive betas around the one whose limit is the level sum
+        on_sum = self.beta_for_limit(level_sum, power)
+        betas = [on_sum]
+        for direction in (-math.inf, math.inf):
+            beta = on_sum
+            for _ in range(3):
+                beta = math.nextafter(beta, direction)
+                betas.append(beta)
+        limits = [beta * power + 1e-12 for beta in betas]
+        assert min(limits) < level_sum < max(limits)
+        assert all(abs(count * speed - limit) <= band for limit in limits)
+
+        for beta in betas:
+            allocator = ScrapMaxAllocator(use_balance_stop=False)
+            fast = allocator.allocate(ptg, platform, beta=beta)
+            ref, ref_stats = run_reference_allocation(
+                ptg,
+                platform,
+                reference,
+                beta,
+                LevelConstraint(beta, power),
+                use_balance_stop=False,
+            )
+            assert fast.as_dict() == ref.as_dict()
+            assert allocator.last_stats == ref_stats
+            assert ref_stats.frozen_tasks > 0  # the boundary test was decisive
 
 
 class TestBatchedKernels:
